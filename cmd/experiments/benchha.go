@@ -587,9 +587,9 @@ func haBenchRollout(oldPath, newPath string) (haPhase, error) {
 		return haPhase{}, fmt.Errorf("rollout = %+v, want clean 3-replica completion", rep)
 	}
 	for i, rr := range rep.Replicas {
-		if rr.FromEpoch != 1 || rr.ToEpoch != 2 || rr.Reused != 2 || rr.Reinferred != 2 ||
+		if rr.FromEpoch != 1 || rr.ToEpoch != 2 || rr.Reused != 0 || rr.Reinferred != 4 ||
 			rr.SwapLatencyNS != queryBenchStep.Nanoseconds() {
-			return haPhase{}, fmt.Errorf("replica %d rollout = %+v, want epoch 1->2 reusing 2 at one clock step", i, rr)
+			return haPhase{}, fmt.Errorf("replica %d rollout = %+v, want epoch 1->2 inferring 4 at one clock step", i, rr)
 		}
 	}
 	look = serve.LookupResponse{}
@@ -635,7 +635,7 @@ func haBenchRollout(oldPath, newPath string) (haPhase, error) {
 		return haPhase{}, err
 	}
 	return haPhase{
-		Detail: fmt.Sprintf("rolled 3 replicas epoch 1->2 (each reusing 2 of 4 domains, swap %v); bad-path rollout aborted clean",
+		Detail: fmt.Sprintf("rolled 3 replicas epoch 1->2 (each inferring 4 domains, swap %v); bad-path rollout aborted clean",
 			queryBenchStep),
 		Balancer: st, Front: &front,
 		Rollouts: []*ha.RolloutReport{rep, abort},

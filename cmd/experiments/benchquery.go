@@ -425,8 +425,8 @@ func queryBenchQueue(oldPath, _ string) (queryPhase, error) {
 }
 
 // queryBenchHotSwap swaps the snapshot through the POST endpoint and
-// pins the whole churn report: diff arithmetic, delta reuse, provider
-// flows, and the stepped-clock swap latency, all exact.
+// pins the whole churn report: domain counts, additions, removals and
+// moves, provider flows, and the stepped-clock swap latency, all exact.
 func queryBenchHotSwap(oldPath, newPath string) (queryPhase, error) {
 	n := netsim.New()
 	svc, srv, closeSrv, err := startQueryPhase(n, "203.0.113.43:80", oldPath, serve.Config{AllowSwap: true})
@@ -453,8 +453,7 @@ func queryBenchHotSwap(oldPath, newPath string) (queryPhase, error) {
 	}
 	want := serve.ChurnReport{
 		FromDate: "2021-01", ToDate: "2021-02", FromEpoch: 1, ToEpoch: 2,
-		Diff:  dataset.DiffStats{OldDomains: 4, NewDomains: 4, Added: 1, Removed: 1, Changed: 1, Unchanged: 2},
-		Delta: core.DeltaStats{Reused: 2, Reinferred: 2},
+		FromDomains: 4, ToDomains: 4, Added: 1, Removed: 1, Moved: 1,
 		Flows: []serve.ProviderFlow{
 			{From: serve.NoProviderLabel, To: "prov-b.net", Count: 1},
 			{From: "prov-a.net", To: "prov-b.net", Count: 1},
@@ -480,8 +479,8 @@ func queryBenchHotSwap(oldPath, newPath string) (queryPhase, error) {
 	}
 	ss := svc.Stats()
 	return queryPhase{
-		Detail: fmt.Sprintf("epoch 1->2: reused %d, re-inferred %d of %d domains, swap %v",
-			rep.Delta.Reused, rep.Delta.Reinferred, ss.Domains, time.Duration(rep.SwapLatencyNS)),
+		Detail: fmt.Sprintf("epoch 1->2: %d added, %d removed, %d moved of %d domains, swap %v",
+			rep.Added, rep.Removed, rep.Moved, ss.Domains, time.Duration(rep.SwapLatencyNS)),
 		Server: st, Lost: st.Lost(), Service: &ss, Churn: &rep,
 	}, nil
 }

@@ -11,7 +11,7 @@
 // "loading" until the initial snapshot is built, so orchestrators can
 // probe before the first epoch is ready. With -allow-swap, POST
 // /v1/swap?path=... hot-swaps a newer snapshot with zero downtime:
-// only the churned domains are re-inferred, in-flight queries drain
+// the new snapshot is inferred off to the side, in-flight queries drain
 // from the old epoch, and a failed load leaves the service answering
 // from the old epoch marked stale. SIGINT/SIGTERM drains gracefully —
 // every accepted query is answered before the process exits — and the

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 
@@ -175,7 +176,8 @@ type DomainAttribution struct {
 	// Rank carries the corpus rank through to analysis (0 outside Alexa).
 	Rank int
 	// Credits maps provider ID to this domain's credit share; shares sum
-	// to 1 when any MX exists.
+	// to 1 when any MX exists. Domains credited wholly to one provider
+	// share one map per run, so Credits is read-only.
 	Credits map[string]float64
 	// HasSMTP reports whether any primary-MX address accepted SMTP.
 	HasSMTP bool
@@ -227,34 +229,51 @@ type Result struct {
 // a small cert population and the misidentification pass touches only
 // flagged assignments.
 func Infer(s *dataset.Snapshot, approach Approach, cfg Config) *Result {
-	memo := psl.NewMemo(cfg.pslOrDefault())
-	if cfg.ConfidenceThreshold == 0 {
-		cfg.ConfidenceThreshold = 5
-	}
-	workers := parallel.Workers(cfg.Parallelism)
+	cfg, memo, workers := prepare(cfg)
 	idx := s.Index()
-	res := inferAssignments(s, idx, approach, cfg, memo, workers)
+	numIP, numCert := popularity(s, idx, workers)
+	var tstats *trustStats
+	if approach == ApproachPriority {
+		// Serial and in domain order, as in InferStream's pass A: the
+		// per-exchange stem cap makes the statistics order-dependent.
+		tstats = newTrustStats()
+		for i := range s.Domains {
+			tstats.observe(&s.Domains[i], idx.PrimaryMX[i], memo)
+		}
+	}
+	res := inferAssignments(s.IPs, idx.SortedIPKeys, idx.Exchanges, numIP, numCert, tstats, approach, cfg, memo, workers)
 
 	// Step 5 — per-domain attribution, sharded over domain positions.
 	// res.MX is read-only from here on, so concurrent map reads are safe.
+	solo := soloCredits(res.MX)
 	res.Domains = make([]DomainAttribution, len(s.Domains))
 	res.NumDomains = len(s.Domains)
 	parallel.Run(len(s.Domains), workers, func(i int) {
-		res.Domains[i] = attributeDomain(&s.Domains[i], idx.PrimaryMX[i], res.MX, s.IPs)
+		res.Domains[i] = attributeDomain(&s.Domains[i], idx.PrimaryMX[i], res.MX, s.IPs, solo)
 	})
 	return res
 }
 
-// inferAssignments runs steps 1-4 plus the trust pass over a
-// materialized snapshot: everything up to (but excluding) per-domain
-// attribution. Shared by Infer and InferDelta — the assignment side is
-// always recomputed in full because its cost is bounded by the
-// distinct-IP and distinct-exchange populations, not the domain count.
-func inferAssignments(s *dataset.Snapshot, idx *dataset.Index, approach Approach, cfg Config, memo *psl.Memo, workers int) *Result {
+// prepare fills Config defaults and builds the per-run PSL memo and
+// worker count shared by Infer and InferStream.
+func prepare(cfg Config) (Config, *psl.Memo, int) {
+	if cfg.ConfidenceThreshold == 0 {
+		cfg.ConfidenceThreshold = 5
+	}
+	return cfg, psl.NewMemo(cfg.pslOrDefault()), parallel.Workers(cfg.Parallelism)
+}
+
+// inferAssignments runs steps 1-4 plus the trust pass: everything up to
+// (but excluding) per-domain attribution. Its inputs are the IP
+// observations with their sorted keys, the deduplicated exchange
+// inventory in first-appearance order, the popularity counters and —
+// for the priority approach — the trust statistics. Infer gathers them
+// from Snapshot.Index; InferStream gathers them in its pass A.
+func inferAssignments(ips map[string]dataset.IPInfo, sortedKeys []string, exchanges []dataset.MXObs, numIP, numCert map[string]int, tstats *trustStats, approach Approach, cfg Config, memo *psl.Memo, workers int) *Result {
 	// Step 1 — certificate preprocessing (cert-based and priority only).
 	var groups *CertGroups
 	if approach == ApproachCertBased || approach == ApproachPriority {
-		certList := collectCerts(s.IPs, idx.SortedIPKeys)
+		certList := collectCerts(ips, sortedKeys)
 		if cfg.DisableCertGrouping {
 			groups = singletonGroups(certList, memo)
 		} else {
@@ -263,18 +282,14 @@ func inferAssignments(s *dataset.Snapshot, idx *dataset.Index, approach Approach
 	}
 
 	// Step 2 — per-IP identities, sharded over the sorted key list.
-	ipIDs := computeIPIDs(s.IPs, idx.SortedIPKeys, groups, memo, cfg, workers)
-
-	// Popularity counters for confidence scores: how many domains' primary
-	// MX sets point at each address and at each certificate.
-	numIP, numCert := popularity(s, idx, workers)
+	ipIDs := computeIPIDs(ips, sortedKeys, groups, memo, cfg, workers)
 
 	// Step 3 — per-MX provider IDs, sharded over the deduplicated
 	// exchange inventory (one assignment per distinct exchange).
-	res := &Result{Approach: approach, MX: make(map[string]*MXAssignment, len(idx.Exchanges))}
-	assigns := make([]*MXAssignment, len(idx.Exchanges))
-	parallel.Run(len(idx.Exchanges), workers, func(i int) {
-		assigns[i] = assignMX(idx.Exchanges[i], approach, ipIDs, numIP, numCert, s.IPs, memo, cfg.PreferBannerOverCert)
+	res := &Result{Approach: approach, MX: make(map[string]*MXAssignment, len(exchanges))}
+	assigns := make([]*MXAssignment, len(exchanges))
+	parallel.Run(len(exchanges), workers, func(i int) {
+		assigns[i] = assignMX(exchanges[i], approach, ipIDs, numIP, numCert, ips, memo, cfg.PreferBannerOverCert)
 	})
 	for _, a := range assigns {
 		res.MX[a.Exchange] = a
@@ -282,18 +297,12 @@ func inferAssignments(s *dataset.Snapshot, idx *dataset.Index, approach Approach
 
 	// Step 4 — misidentification check (priority approach only).
 	if approach == ApproachPriority && len(cfg.Profiles) > 0 {
-		checkMisidentifications(res, idx.Exchanges, s.IPs, ipIDs, cfg, memo)
+		checkMisidentifications(res, exchanges, ips, ipIDs, cfg, memo)
 	}
 
-	// Trust pass — hijack/abuse-aware provenance cross-check (priority
-	// approach only). Statistics accumulate in domain order from the
-	// serialized record fields, mirroring InferStream's pass A exactly.
-	if approach == ApproachPriority {
-		tstats := newTrustStats()
-		for i := range s.Domains {
-			tstats.observe(&s.Domains[i], idx.PrimaryMX[i], memo)
-		}
-		checkTrust(res, idx.Exchanges, s.IPs, tstats, cfg)
+	// Trust pass — hijack/abuse-aware provenance cross-check.
+	if tstats != nil {
+		checkTrust(res, exchanges, ips, tstats, cfg)
 	}
 	return res
 }
@@ -396,36 +405,16 @@ func normalizeHost(h string) string {
 }
 
 // popularity counts, per address and per certificate, how many domains'
-// primary MX sets lead there. Workers accumulate into private counter
-// maps over disjoint domain ranges; the merge after the barrier sums
-// per-key, so the totals are order-independent.
+// primary MX sets lead there. Workers accumulate into private counters
+// over disjoint domain ranges; the merge after the barrier sums per-key,
+// so the totals are order-independent.
 func popularity(s *dataset.Snapshot, idx *dataset.Index, workers int) (numIP, numCert map[string]int) {
-	type counters struct {
-		ip, cert map[string]int
-	}
-	parts := make([]counters, 0, workers)
+	parts := make([]*popCounter, 0, workers)
 	var mu sync.Mutex
 	parallel.RunChunks(len(s.Domains), workers, func(lo, hi int) {
-		c := counters{ip: make(map[string]int), cert: make(map[string]int)}
-		var seenIP, seenCert []string // tiny per-domain sets: linear scan beats a map
+		c := newPopCounter()
 		for i := lo; i < hi; i++ {
-			seenIP, seenCert = seenIP[:0], seenCert[:0]
-			for _, mx := range idx.PrimaryMX[i] {
-				for _, a := range mx.Addrs {
-					key := a.String()
-					if containsStr(seenIP, key) {
-						continue
-					}
-					seenIP = append(seenIP, key)
-					c.ip[key]++
-					if info, ok := s.IPs[key]; ok && info.Scan != nil && info.Scan.CertFingerprint != "" {
-						if fp := info.Scan.CertFingerprint; !containsStr(seenCert, fp) {
-							seenCert = append(seenCert, fp)
-							c.cert[fp]++
-						}
-					}
-				}
-			}
+			c.add(idx.PrimaryMX[i], s.IPs)
 		}
 		mu.Lock()
 		parts = append(parts, c)
@@ -444,13 +433,37 @@ func popularity(s *dataset.Snapshot, idx *dataset.Index, workers int) (numIP, nu
 	return numIP, numCert
 }
 
-func containsStr(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
+// popCounter accumulates the popularity counters one domain at a time:
+// each domain counts once per distinct address and once per distinct
+// certificate its primary MX set leads to.
+type popCounter struct {
+	ip, cert         map[string]int
+	seenIP, seenCert []string // tiny per-domain sets: linear scan beats a map
+}
+
+func newPopCounter() *popCounter {
+	return &popCounter{ip: make(map[string]int), cert: make(map[string]int)}
+}
+
+// add folds one domain's primary MX set into the counters.
+func (c *popCounter) add(primary []dataset.MXObs, ips map[string]dataset.IPInfo) {
+	c.seenIP, c.seenCert = c.seenIP[:0], c.seenCert[:0]
+	for _, mx := range primary {
+		for _, a := range mx.Addrs {
+			key := a.String()
+			if slices.Contains(c.seenIP, key) {
+				continue
+			}
+			c.seenIP = append(c.seenIP, key)
+			c.ip[key]++
+			if info, ok := ips[key]; ok && info.Scan != nil && info.Scan.CertFingerprint != "" {
+				if fp := info.Scan.CertFingerprint; !slices.Contains(c.seenCert, fp) {
+					c.seenCert = append(c.seenCert, fp)
+					c.cert[fp]++
+				}
+			}
 		}
 	}
-	return false
 }
 
 // assignMX performs step 3 for one MX record under the chosen approach.
@@ -535,29 +548,62 @@ func mxFallbackID(exchange string, memo *psl.Memo) string {
 	return h
 }
 
-// attributeDomain performs step 5 for one domain, using the index's
-// cached primary MX set.
-func attributeDomain(d *dataset.DomainRecord, primary []dataset.MXObs, mxAssign map[string]*MXAssignment, ips map[string]dataset.IPInfo) DomainAttribution {
-	out := DomainAttribution{Domain: d.Domain, Rank: d.Rank, Credits: make(map[string]float64)}
-	if len(primary) == 0 {
-		return out
+// soloCredits builds one read-only credit map per credit bucket of the
+// run's assignments, crediting that bucket alone with the whole domain.
+// Most domains are credited wholly to one bucket; sharing these maps
+// keeps a result's memory proportional to its buckets, not its domains.
+func soloCredits(mx map[string]*MXAssignment) map[string]map[string]float64 {
+	solo := make(map[string]map[string]float64)
+	for _, a := range mx {
+		if b := a.creditBucket(); b != "" && solo[b] == nil {
+			solo[b] = map[string]float64{b: 1}
+		}
 	}
+	return solo
+}
+
+// creditBucket is where domains pointing at the exchange are credited:
+// the sentinel when one is set, else the provider, else nowhere ("").
+func (a *MXAssignment) creditBucket() string {
+	if a.CreditAs != "" {
+		return a.CreditAs
+	}
+	return a.ProviderID
+}
+
+// attributeDomain performs step 5 for one domain, using the index's
+// cached primary MX set. A domain credited wholly to one bucket gets
+// that bucket's shared map from solo.
+func attributeDomain(d *dataset.DomainRecord, primary []dataset.MXObs, mxAssign map[string]*MXAssignment, ips map[string]dataset.IPInfo, solo map[string]map[string]float64) DomainAttribution {
+	out := DomainAttribution{Domain: d.Domain, Rank: d.Rank}
 	share := 1.0 / float64(len(primary))
+	only, mixed, total := "", false, 0.0
 	for _, mx := range primary {
 		if a, ok := mxAssign[mx.Exchange]; ok {
 			if a.Untrusted {
 				out.Untrusted = true
 			}
-			switch {
-			case a.CreditAs != "":
-				out.Credits[a.CreditAs] += share
-			case a.ProviderID != "":
-				out.Credits[a.ProviderID] += share
+			if b := a.creditBucket(); b != "" {
+				mixed = mixed || (only != "" && b != only)
+				only = b
+				total += share
 			}
 		}
 		for _, addr := range mx.Addrs {
 			if info, ok := ips[addr.String()]; ok && info.Port25Open {
 				out.HasSMTP = true
+			}
+		}
+	}
+	if !mixed && total == 1 {
+		out.Credits = solo[only]
+		return out
+	}
+	out.Credits = make(map[string]float64)
+	for _, mx := range primary {
+		if a, ok := mxAssign[mx.Exchange]; ok {
+			if b := a.creditBucket(); b != "" {
+				out.Credits[b] += share
 			}
 		}
 	}

@@ -5,8 +5,6 @@ import (
 	"sort"
 
 	"mxmap/internal/dataset"
-	"mxmap/internal/parallel"
-	"mxmap/internal/psl"
 )
 
 // InferStream runs the selected approach over an on-disk snapshot
@@ -29,24 +27,11 @@ import (
 // when only the MX assignments matter. The returned Result carries a nil
 // Domains slice — the attributions exist only during their emit call.
 func InferStream(st *dataset.Stream, approach Approach, cfg Config, emit func(DomainAttribution)) (*Result, error) {
-	res, _, err := inferStream(st, approach, cfg, nil, nil, nil, emit)
-	return res, err
-}
-
-// inferStream is the shared implementation behind InferStream (prior ==
-// nil: full run) and InferStreamDelta (reuse prior attributions for
-// domains outside the changed set whose primary assignments are
-// credit-equivalent).
-func inferStream(st *dataset.Stream, approach Approach, cfg Config, prior *Result, priorAtt func(string) (DomainAttribution, bool), changed map[string]bool, emit func(DomainAttribution)) (*Result, DeltaStats, error) {
-	memo := psl.NewMemo(cfg.pslOrDefault())
-	if cfg.ConfidenceThreshold == 0 {
-		cfg.ConfidenceThreshold = 5
-	}
-	workers := parallel.Workers(cfg.Parallelism)
+	cfg, memo, workers := prepare(cfg)
 
 	ips, err := st.LoadIPs()
 	if err != nil {
-		return nil, DeltaStats{}, err
+		return nil, err
 	}
 	sortedKeys := make([]string, 0, len(ips))
 	for k := range ips {
@@ -55,16 +40,13 @@ func inferStream(st *dataset.Stream, approach Approach, cfg Config, prior *Resul
 	sort.Strings(sortedKeys)
 
 	// Pass A — exchange inventory (first-appearance order, first-wins
-	// observation) and popularity counters, mirroring buildIndex plus
-	// popularity() in one sweep.
+	// observation), popularity counters and trust statistics: the inputs
+	// Infer reads from Snapshot.Index, gathered in one sweep.
 	var (
 		exchanges []dataset.MXObs
-		exIndex   = make(map[string]int)
-		numIP     = make(map[string]int)
-		numCert   = make(map[string]int)
+		exIndex   = make(map[string]bool)
+		pop       = newPopCounter()
 		nDomains  int
-		seenIP    []string
-		seenCert  []string
 		tstats    *trustStats
 	)
 	if approach == ApproachPriority {
@@ -72,97 +54,39 @@ func inferStream(st *dataset.Stream, approach Approach, cfg Config, prior *Resul
 	}
 	err = st.ForEach(func(d *dataset.DomainRecord) error {
 		nDomains++
-		seenIP, seenCert = seenIP[:0], seenCert[:0]
 		primary := d.PrimaryMX()
 		if tstats != nil {
-			// Trust statistics fold in here so the stream needs no extra
-			// pass; the batch path accumulates in the same domain order.
 			tstats.observe(d, primary, memo)
 		}
 		for _, mx := range primary {
-			if _, ok := exIndex[mx.Exchange]; !ok {
-				exIndex[mx.Exchange] = len(exchanges)
+			if !exIndex[mx.Exchange] {
+				exIndex[mx.Exchange] = true
 				// The streamed record is reused; own the retained copy.
 				kept := mx
 				kept.Addrs = append([]netip.Addr(nil), mx.Addrs...)
 				exchanges = append(exchanges, kept)
 			}
-			for _, a := range mx.Addrs {
-				key := a.String()
-				if containsStr(seenIP, key) {
-					continue
-				}
-				seenIP = append(seenIP, key)
-				numIP[key]++
-				if info, ok := ips[key]; ok && info.Scan != nil && info.Scan.CertFingerprint != "" {
-					if fp := info.Scan.CertFingerprint; !containsStr(seenCert, fp) {
-						seenCert = append(seenCert, fp)
-						numCert[fp]++
-					}
-				}
-			}
 		}
+		pop.add(primary, ips)
 		return nil
 	}, nil)
 	if err != nil {
-		return nil, DeltaStats{}, err
+		return nil, err
 	}
+	res := inferAssignments(ips, sortedKeys, exchanges, pop.ip, pop.cert, tstats, approach, cfg, memo, workers)
 
-	// Steps 1-4 are identical to the in-memory path: they only consume
-	// the IP observations and the exchange inventory.
-	var groups *CertGroups
-	if approach == ApproachCertBased || approach == ApproachPriority {
-		certList := collectCerts(ips, sortedKeys)
-		if cfg.DisableCertGrouping {
-			groups = singletonGroups(certList, memo)
-		} else {
-			groups = groupCertificates(certList, memo)
-		}
-	}
-	ipIDs := computeIPIDs(ips, sortedKeys, groups, memo, cfg, workers)
-
-	res := &Result{Approach: approach, MX: make(map[string]*MXAssignment, len(exchanges))}
-	assigns := make([]*MXAssignment, len(exchanges))
-	parallel.Run(len(exchanges), workers, func(i int) {
-		assigns[i] = assignMX(exchanges[i], approach, ipIDs, numIP, numCert, ips, memo, cfg.PreferBannerOverCert)
-	})
-	for _, a := range assigns {
-		res.MX[a.Exchange] = a
-	}
-	if approach == ApproachPriority && len(cfg.Profiles) > 0 {
-		checkMisidentifications(res, exchanges, ips, ipIDs, cfg, memo)
-	}
-	if tstats != nil {
-		checkTrust(res, exchanges, ips, tstats, cfg)
-	}
-
-	// Pass B — step 5, one attribution at a time. On a delta run a
-	// domain outside the changed set whose primary assignments are
-	// credit-equivalent to the prior run's reuses its prior attribution
-	// verbatim; see InferDelta for why that is provably identical.
-	var ds DeltaStats
-	usePrior := prior != nil && prior.Approach == approach && priorAtt != nil
+	// Pass B — step 5, one attribution at a time.
+	solo := soloCredits(res.MX)
 	err = st.ForEach(func(d *dataset.DomainRecord) error {
-		primary := d.PrimaryMX()
-		if usePrior && !changed[d.Domain] && assignmentsEqual(primary, prior.MX, res.MX) {
-			if att, ok := priorAtt(d.Domain); ok {
-				ds.Reused++
-				if emit != nil {
-					emit(att)
-				}
-				return nil
-			}
-		}
-		ds.Reinferred++
-		att := attributeDomain(d, primary, res.MX, ips)
+		att := attributeDomain(d, d.PrimaryMX(), res.MX, ips, solo)
 		if emit != nil {
 			emit(att)
 		}
 		return nil
 	}, nil)
 	if err != nil {
-		return nil, DeltaStats{}, err
+		return nil, err
 	}
 	res.NumDomains = nDomains
-	return res, ds, nil
+	return res, nil
 }

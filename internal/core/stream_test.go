@@ -25,7 +25,11 @@ func TestInferStreamEquivalence(t *testing.T) {
 		// The hostile families: stale-glue hijack, dangling and parked
 		// exchanges, an abuse cluster — the trust pass must stay
 		// byte-equivalent across both paths too.
-		"adversarial": {adversarialSnapshot(), adversarialProfiles(), 4},
+		"adversarial": {benchdata.Adversarial(), adversarialProfiles(), 4},
+		// One snapshot later the abuse cluster falls below the
+		// threshold: the same exchange flips from untrusted to trusted
+		// while its surviving domains' records stay byte-identical.
+		"adversarial-next": {benchdata.AdversarialNext(), adversarialProfiles(), 4},
 	}
 	dir := t.TempDir()
 	for name, tc := range snapshots {

@@ -7,56 +7,9 @@ import (
 	"testing"
 
 	"mxmap/internal/asn"
+	"mxmap/internal/benchdata"
 	"mxmap/internal/dataset"
 )
-
-// adversarialSnapshot hand-builds the hostile scenarios the trust pass
-// exists for: a stale-glue hijack forging a big provider's banner, a
-// dangling exchange, a parked exchange, a look-alike abuse cluster, and
-// an honest control domain.
-func adversarialSnapshot() *dataset.Snapshot {
-	s := dataset.NewSnapshot("2021-06", "test")
-
-	// Hijacked: registry delegation no longer matches the serving NS;
-	// the relay's zone is gone and its banner claims Google.
-	s.AddDomain(dataset.DomainRecord{Domain: "hijacked.com", Delegation: dataset.DelegationStaleGlue,
-		MX: []dataset.MXObs{{Preference: 10, Exchange: "mx1.hijack-relay.net", Dangling: true,
-			Addrs: []netip.Addr{addr("9.9.1.1")}}}})
-	s.AddIP(dataset.IPInfo{Addr: addr("9.9.1.1"), ASN: 64991, ASName: "RELAY", HasCensys: true, Port25Open: true,
-		Scan: &dataset.ScanInfo{
-			Banner: "mx.google.com ESMTP gsmtp", BannerHost: "mx.google.com", EHLOHost: "mx.google.com",
-		}})
-
-	// Dangling: the exchange's registered zone lapsed; no address at all.
-	s.AddDomain(dataset.DomainRecord{Domain: "forgotten.org", MX: []dataset.MXObs{
-		{Preference: 10, Exchange: "mx.gone-zone.net", Dangling: true}}})
-
-	// Parked: the exchange resolves onto a sinkhole with port 25 closed.
-	s.AddDomain(dataset.DomainRecord{Domain: "lapsed.net", MX: []dataset.MXObs{
-		{Preference: 10, Exchange: "mx.parking-lot.net", Addrs: []netip.Addr{addr("9.9.2.1")}}}})
-	s.AddIP(dataset.IPInfo{Addr: addr("9.9.2.1"), ASN: 64990, ASName: "PARKING", HasCensys: true, Parked: true})
-
-	// Abuse cluster: six look-alike registrations share one cheap
-	// exchange run by the bulk operator itself.
-	for i := 0; i < 6; i++ {
-		s.AddDomain(dataset.DomainRecord{Domain: fmt.Sprintf("cheap-pillz-dealz-%03d.xyz", i),
-			MX: []dataset.MXObs{{Preference: 10, Exchange: "mx.bulk-blast.xyz",
-				Addrs: []netip.Addr{addr("9.9.3.1")}}}})
-	}
-	s.AddIP(dataset.IPInfo{Addr: addr("9.9.3.1"), ASN: 64994, ASName: "BULK", HasCensys: true, Port25Open: true,
-		Scan: &dataset.ScanInfo{
-			Banner: "mx.bulk-blast.xyz ESMTP", BannerHost: "mx.bulk-blast.xyz", EHLOHost: "mx.bulk-blast.xyz",
-		}})
-
-	// Honest control: a real Google customer inside Google's AS.
-	s.AddDomain(dataset.DomainRecord{Domain: "legit.com", MX: []dataset.MXObs{
-		{Preference: 10, Exchange: "aspmx.l.google.com", Addrs: []netip.Addr{addr("172.217.1.1")}}}})
-	s.AddIP(dataset.IPInfo{Addr: addr("172.217.1.1"), ASN: 15169, ASName: "GOOGLE", HasCensys: true, Port25Open: true,
-		Scan: &dataset.ScanInfo{
-			Banner: "mx.google.com ESMTP gsmtp", BannerHost: "mx.google.com", EHLOHost: "mx.google.com",
-		}})
-	return s
-}
 
 func adversarialProfiles() []ProviderProfile {
 	return []ProviderProfile{{ID: "google.com", ASNs: []asn.ASN{15169}}}
@@ -66,7 +19,7 @@ func adversarialProfiles() []ProviderProfile {
 // hijacked domain whose relay forges a big provider's banner must come
 // back flagged, with not a sliver of credit for the forged provider.
 func TestHijackFlaggedNotCredited(t *testing.T) {
-	s := adversarialSnapshot()
+	s := benchdata.Adversarial()
 	res := Infer(s, ApproachPriority, Config{Profiles: adversarialProfiles(), AbuseClusterMinDomains: 4})
 
 	a := res.MX["mx1.hijack-relay.net"]
@@ -97,7 +50,7 @@ func TestHijackFlaggedNotCredited(t *testing.T) {
 }
 
 func TestDanglingAndParkedSentinels(t *testing.T) {
-	s := adversarialSnapshot()
+	s := benchdata.Adversarial()
 	res := Infer(s, ApproachPriority, Config{Profiles: adversarialProfiles()})
 
 	if a := res.MX["mx.gone-zone.net"]; a == nil || a.CreditAs != CreditDangling {
@@ -122,7 +75,7 @@ func TestDanglingAndParkedSentinels(t *testing.T) {
 
 func TestAbuseClusterRule(t *testing.T) {
 	// Gated off (the default): the cluster keeps its plain attribution.
-	s := adversarialSnapshot()
+	s := benchdata.Adversarial()
 	res := Infer(s, ApproachPriority, Config{Profiles: adversarialProfiles()})
 	if a := res.MX["mx.bulk-blast.xyz"]; a.Untrusted {
 		t.Errorf("abuse rule fired with the gate off: %+v", a)

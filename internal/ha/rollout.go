@@ -30,9 +30,10 @@ type ReplicaRollout struct {
 	Name      string `json:"name"`
 	FromEpoch uint64 `json:"from_epoch"`
 	ToEpoch   uint64 `json:"to_epoch"`
-	// Reused and Reinferred mirror the replica's delta-inference stats
-	// for the swap; SwapLatencyNS its build-through-drain wall time on
-	// the replica's own service clock.
+	// Reinferred is the swapped snapshot's domain count, every one of
+	// which the replica inferred; Reused is always 0 and stays for
+	// readers of the report format. SwapLatencyNS is the swap's
+	// build-through-drain wall time on the replica's own service clock.
 	Reused        int   `json:"reused"`
 	Reinferred    int   `json:"reinferred"`
 	SwapLatencyNS int64 `json:"swap_latency_ns"`
@@ -119,8 +120,7 @@ func (b *Balancer) swapReplica(ctx context.Context, r *Replica, path string) (Re
 		Name:          r.cfg.Name,
 		FromEpoch:     churn.FromEpoch,
 		ToEpoch:       churn.ToEpoch,
-		Reused:        churn.Delta.Reused,
-		Reinferred:    churn.Delta.Reinferred,
+		Reinferred:    churn.ToDomains,
 		SwapLatencyNS: churn.SwapLatencyNS,
 	}, nil
 }

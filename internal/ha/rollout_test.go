@@ -27,12 +27,10 @@ func TestRollingRollout(t *testing.T) {
 		t.Fatalf("rollout touched %d replicas, want 3", len(rep.Replicas))
 	}
 	for i, rr := range rep.Replicas {
-		// Every replica hot-swapped epoch 1 → 2 and the delta path did
-		// the same bounded work on each: one.example and four.example
-		// reused, two.example (migrated) and five.example (new)
-		// reinferred.
+		// Every replica hot-swapped epoch 1 → 2, inferring all four
+		// domains of the new snapshot.
 		want := ReplicaRollout{Name: "r" + strconv.Itoa(i), FromEpoch: 1, ToEpoch: 2,
-			Reused: 2, Reinferred: 2, SwapLatencyNS: rr.SwapLatencyNS}
+			Reinferred: 4, SwapLatencyNS: rr.SwapLatencyNS}
 		if rr != want || rr.SwapLatencyNS < 0 {
 			t.Errorf("replica %d rollout = %+v, want %+v", i, rr, want)
 		}

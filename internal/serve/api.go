@@ -1,10 +1,5 @@
 package serve
 
-import (
-	"mxmap/internal/core"
-	"mxmap/internal/dataset"
-)
-
 // NoProviderLabel names the empty side of a provider flow: a domain
 // that had (or has) no attributable mail provider.
 const NoProviderLabel = "(none)"
@@ -65,21 +60,23 @@ type ProviderFlow struct {
 	Count int    `json:"count"`
 }
 
-// ChurnReport describes what the latest swap changed: the raw snapshot
-// diff, how much inference work the incremental path reused, and the
-// provider-to-provider migration flows among churned domains.
+// ChurnReport describes what the latest swap changed, computed by
+// comparing the old and new serving stores' attributions: domain counts
+// on both sides, domains added and removed, domains present in both
+// whose primary provider moved, and the provider-to-provider flows of
+// every domain whose primary differs (an absent side counts as
+// NoProviderLabel, so additions and removals with a provider flow too).
 type ChurnReport struct {
-	FromDate  string            `json:"from_date"`
-	ToDate    string            `json:"to_date"`
-	FromEpoch uint64            `json:"from_epoch"`
-	ToEpoch   uint64            `json:"to_epoch"`
-	Diff      dataset.DiffStats `json:"diff"`
-	Delta     core.DeltaStats   `json:"delta"`
-	Flows     []ProviderFlow    `json:"flows,omitempty"`
-	// FullRecompute reports that the prior snapshot file was no longer
-	// readable and the swap fell back to inferring from scratch (Diff
-	// and Flows are empty in that case).
-	FullRecompute bool `json:"full_recompute,omitempty"`
+	FromDate    string         `json:"from_date"`
+	ToDate      string         `json:"to_date"`
+	FromEpoch   uint64         `json:"from_epoch"`
+	ToEpoch     uint64         `json:"to_epoch"`
+	FromDomains int            `json:"from_domains"`
+	ToDomains   int            `json:"to_domains"`
+	Added       int            `json:"added"`
+	Removed     int            `json:"removed"`
+	Moved       int            `json:"moved"`
+	Flows       []ProviderFlow `json:"flows,omitempty"`
 	// SwapLatencyNS is the wall time of the whole swap, build through
 	// epoch drain, on the service clock.
 	SwapLatencyNS int64 `json:"swap_latency_ns"`

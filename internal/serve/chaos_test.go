@@ -20,7 +20,6 @@ import (
 	"testing"
 	"time"
 
-	"mxmap/internal/core"
 	"mxmap/internal/netsim"
 )
 
@@ -207,6 +206,9 @@ func TestChaosHotSwapFloodZeroLoss(t *testing.T) {
 		if rep.ToEpoch != uint64(i+2) {
 			t.Fatalf("swap %d produced epoch %d, want %d", i, rep.ToEpoch, i+2)
 		}
+		if rep.Added != 1 || rep.Removed != 1 || rep.Moved != 1 {
+			t.Errorf("swap %d churn = %+v, want 1 added, 1 removed, 1 moved", i, rep)
+		}
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -245,14 +247,8 @@ func TestChaosHotSwapFloodZeroLoss(t *testing.T) {
 		t.Errorf("Lost() = %d after drain, want 0", lost)
 	}
 
-	// The swap machinery reused work on every flip: only the churned
-	// domains were re-inferred.
-	ss := svc.Stats()
-	if ss.Swaps != swaps || ss.SwapFails != 0 {
+	if ss := svc.Stats(); ss.Swaps != swaps || ss.SwapFails != 0 {
 		t.Errorf("service stats = %+v, want %d clean swaps", ss, swaps)
-	}
-	if ss.DomainsReused != uint64(swaps*2) || ss.DomainsReinferred != uint64(swaps*2) {
-		t.Errorf("delta accounting = reused %d reinferred %d, want %d each", ss.DomainsReused, ss.DomainsReinferred, swaps*2)
 	}
 
 	// Draining twice is idempotent and still nil.
@@ -317,8 +313,8 @@ func TestChaosSwapFailureUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery swap: %v", err)
 	}
-	if rep.Delta != (core.DeltaStats{Reused: 2, Reinferred: 2}) {
-		t.Errorf("recovery delta = %+v, want {2 2}", rep.Delta)
+	if rep.Added != 1 || rep.Removed != 1 || rep.Moved != 1 {
+		t.Errorf("recovery churn = %+v, want 1 added, 1 removed, 1 moved", rep)
 	}
 	if svc.Stale() {
 		t.Error("service still stale after recovery swap")

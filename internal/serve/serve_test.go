@@ -16,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"mxmap/internal/asn"
+	"mxmap/internal/benchdata"
 	"mxmap/internal/core"
 	"mxmap/internal/dataset"
 	"mxmap/internal/netsim"
@@ -319,13 +321,11 @@ func TestServeHotSwapAndStaleMode(t *testing.T) {
 	// churn exactly.
 	var rep ChurnReport
 	c.get("POST", "/v1/swap?path="+newPath, 200, &rep)
-	wantDiff := dataset.DiffStats{OldDomains: 4, NewDomains: 4, Added: 1, Removed: 1, Changed: 1, Unchanged: 2}
-	wantDelta := core.DeltaStats{Reused: 2, Reinferred: 2}
 	if rep.FromEpoch != 1 || rep.ToEpoch != 2 || rep.FromDate != "2021-01" || rep.ToDate != "2021-02" {
 		t.Errorf("report identity = %+v, want epoch 1->2, 2021-01 -> 2021-02", rep)
 	}
-	if rep.Diff != wantDiff || rep.Delta != wantDelta || rep.FullRecompute {
-		t.Errorf("report = %+v, want diff %+v delta %+v", rep, wantDiff, wantDelta)
+	if rep.FromDomains != 4 || rep.ToDomains != 4 || rep.Added != 1 || rep.Removed != 1 || rep.Moved != 1 {
+		t.Errorf("report = %+v, want 4 -> 4 domains, 1 added, 1 removed, 1 moved", rep)
 	}
 	wantFlows := []ProviderFlow{
 		{From: NoProviderLabel, To: "prov-b.net", Count: 1},
@@ -356,8 +356,7 @@ func TestServeHotSwapAndStaleMode(t *testing.T) {
 	c.get("GET", "/v1/stats", 200, &stats)
 	ss := stats.Service
 	if ss.State != "serving" || ss.Stale || ss.Epoch != 2 || ss.Domains != 4 ||
-		ss.Swaps != 1 || ss.SwapFails != 1 ||
-		ss.DomainsReused != 2 || ss.DomainsReinferred != 2 {
+		ss.Swaps != 1 || ss.SwapFails != 1 {
 		t.Errorf("service stats = %+v", ss)
 	}
 
@@ -623,9 +622,9 @@ func TestServeConnHygiene(t *testing.T) {
 	})
 }
 
-// TestServeSwapEquivalence proves the serving store built through the
-// incremental swap path answers identically to one built by a fresh
-// full load of the same snapshot.
+// TestServeSwapEquivalence proves the serving store built by a swap
+// answers identically to one built by a fresh load of the same
+// snapshot.
 func TestServeSwapEquivalence(t *testing.T) {
 	oldPath, newPath := writeServeWorlds(t)
 	swapped := servingService(t, oldPath)
@@ -653,43 +652,82 @@ func TestServeSwapEquivalence(t *testing.T) {
 	if ss.conc != fs.conc {
 		t.Errorf("concentration differs: %+v vs %+v", ss.conc, fs.conc)
 	}
-	mustJSON := func(v any) string {
-		b, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	if a, b := mustJSON(ss.res), mustJSON(fs.res); a != b {
-		t.Errorf("results differ:\nswapped: %s\nfresh:   %s", a, b)
-	}
 }
 
-// TestServeSwapFallbackFullRecompute pins the degraded path: when the
-// prior snapshot file has vanished, the swap silently recomputes from
-// scratch and says so.
-func TestServeSwapFallbackFullRecompute(t *testing.T) {
+// TestServeSwapChurnFromStores swaps the adversarial fixture to its
+// next snapshot with the prior snapshot file already deleted: the swap
+// reads only the new file, and the churn report comes from the two
+// stores' attributions. The forged relay's three surviving domains
+// move from google.com to mailrelay.biz with byte-identical records, so
+// a churn report driven by a record diff would miss them. The abuse
+// cluster's three survivors keep their provider and flip from
+// untrusted to trusted.
+func TestServeSwapChurnFromStores(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := filepath.Join(dir, "old.jsonl")
-	newPath := filepath.Join(dir, "new.jsonl")
-	for path, snap := range map[string]*dataset.Snapshot{oldPath: serveWorldOld(), newPath: serveWorldNew()} {
-		snap.SortDomains()
+	newPath := filepath.Join(dir, "next.jsonl")
+	for path, snap := range map[string]*dataset.Snapshot{oldPath: benchdata.Adversarial(), newPath: benchdata.AdversarialNext()} {
 		if err := dataset.WriteFile(path, snap); err != nil {
 			t.Fatal(err)
 		}
 	}
-	svc := servingService(t, oldPath)
+	svc := NewService(core.ApproachPriority, ServiceConfig{Infer: core.Config{
+		Profiles:               []core.ProviderProfile{{ID: "google.com", ASNs: []asn.ASN{15169}}},
+		AbuseClusterMinDomains: 4,
+	}})
+	if _, err := svc.Load(oldPath); err != nil {
+		t.Fatal(err)
+	}
+	const cluster = "cheap-pillz-dealz-000.xyz"
+	if att := lookupAtt(t, svc, cluster); !att.Untrusted || att.Primary() != "bulk-blast.xyz" {
+		t.Fatalf("fixture: %s before swap = %+v, want untrusted bulk-blast.xyz", cluster, att)
+	}
 	if err := os.Remove(oldPath); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := svc.Swap(context.Background(), newPath)
 	if err != nil {
-		t.Fatalf("swap after prior vanished: %v", err)
+		t.Fatalf("swap with the prior file gone: %v", err)
 	}
-	if !rep.FullRecompute || rep.Delta.Reused != 0 || rep.Delta.Reinferred != 4 {
-		t.Errorf("report = %+v, want full recompute of 4 domains", rep)
+	rep.SwapLatencyNS = 0
+	want := ChurnReport{
+		FromDate: "2021-06", ToDate: "2021-07", FromEpoch: 1, ToEpoch: 2,
+		FromDomains: 16, ToDomains: 11,
+		// newcomer.com; three cluster and three relay domains; lapsed.net
+		// and the three surviving relay domains.
+		Added: 1, Removed: 6, Moved: 4,
+		Flows: []ProviderFlow{
+			{From: NoProviderLabel, To: "google.com", Count: 1},
+			{From: core.CreditParked, To: "google.com", Count: 1},
+			{From: "bulk-blast.xyz", To: NoProviderLabel, Count: 3},
+			{From: "google.com", To: NoProviderLabel, Count: 3},
+			{From: "google.com", To: "mailrelay.biz", Count: 3},
+		},
+	}
+	if !reflect.DeepEqual(*rep, want) {
+		t.Errorf("churn report:\n got %+v\nwant %+v", *rep, want)
+	}
+	for _, d := range []string{"acme.com", "globex.com", "initech.com"} {
+		if got := lookupAtt(t, svc, d).Primary(); got != "mailrelay.biz" {
+			t.Errorf("%s after swap = %q, want mailrelay.biz", d, got)
+		}
+	}
+	if att := lookupAtt(t, svc, cluster); att.Untrusted || att.Primary() != "bulk-blast.xyz" {
+		t.Errorf("%s after swap = %+v, want trusted bulk-blast.xyz", cluster, att)
 	}
 	if svc.Stale() {
-		t.Error("service stale after successful fallback swap")
+		t.Error("service stale after a successful swap")
 	}
+}
+
+// lookupAtt reads one domain's attribution from the serving epoch.
+func lookupAtt(t *testing.T, svc *Service, domain string) *core.DomainAttribution {
+	t.Helper()
+	e, st := svc.acquire()
+	defer svc.release(e)
+	att, ok := st.domains[domain]
+	if !ok {
+		t.Fatalf("%s not served", domain)
+	}
+	return &att
 }

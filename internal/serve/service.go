@@ -1,8 +1,8 @@
 // Package serve is the online face of the pipeline: an overload-hardened
 // HTTP/JSON query service over one loaded snapshot and its inference
 // result. Its robustness headline is versioned snapshot hot-swap — a new
-// snapshot is loaded and incrementally re-inferred next to the serving
-// one, an epoch-counted pointer flips atomically, readers of the old
+// snapshot is loaded and inferred next to the serving one, an
+// epoch-counted pointer flips atomically, readers of the old
 // epoch drain, and the old state is freed — with zero queries lost or
 // answered from a half-built state. When a swap's load fails mid-flight
 // the service degrades to stale serving (in the spirit of RFC 8767):
@@ -75,25 +75,15 @@ type ServiceConfig struct {
 // Store is one immutable, fully-built serving state: a snapshot's
 // per-domain attributions plus the precomputed aggregate answers.
 type Store struct {
-	path    string
 	meta    SnapshotMeta
-	res     *core.Result
 	domains map[string]core.DomainAttribution
 	shares  []ShareEntry
 	conc    analysis.Concentration
 }
 
-// lookup resolves a domain's attribution; it is the priorAtt resolver
-// handed to core.InferStreamDelta on the next swap.
-func (st *Store) lookup(domain string) (core.DomainAttribution, bool) {
-	att, ok := st.domains[domain]
-	return att, ok
-}
-
 // free drops the store's bulk state once no reader can hold it. meta
 // stays readable.
 func (st *Store) free() {
-	st.res = nil
 	st.domains = nil
 	st.shares = nil
 }
@@ -114,15 +104,12 @@ type ServiceStats struct {
 	SwapFails         uint64 `json:"swap_fails"`
 	SwapDrainWaits    uint64 `json:"swap_drain_waits"`
 	SwapDrainTimeouts uint64 `json:"swap_drain_timeouts"`
-	DomainsReused     uint64 `json:"domains_reused"`
-	DomainsReinferred uint64 `json:"domains_reinferred"`
 	LastSwapNS        int64  `json:"last_swap_ns"`
 }
 
 type serviceCounters struct {
 	swaps, swapFails                  atomic.Uint64
 	swapDrainWaits, swapDrainTimeouts atomic.Uint64
-	reused, reinferred                atomic.Uint64
 	lastSwapNS                        atomic.Int64
 }
 
@@ -204,8 +191,6 @@ func (s *Service) Stats() ServiceStats {
 		SwapFails:         s.c.swapFails.Load(),
 		SwapDrainWaits:    s.c.swapDrainWaits.Load(),
 		SwapDrainTimeouts: s.c.swapDrainTimeouts.Load(),
-		DomainsReused:     s.c.reused.Load(),
-		DomainsReinferred: s.c.reinferred.Load(),
 		LastSwapNS:        s.c.lastSwapNS.Load(),
 	}
 	if e := s.cur.Load(); e != nil {
@@ -245,7 +230,7 @@ func (s *Service) Load(path string) (SnapshotMeta, error) {
 		return SnapshotMeta{}, errors.New("serve: snapshot already loaded; use Swap")
 	}
 	begin := s.now()
-	store, _, err := s.build(path, nil)
+	store, err := s.build(path)
 	if err != nil {
 		_ = s.now() // keep the two-reads-per-operation clock contract
 		return SnapshotMeta{}, err
@@ -257,9 +242,9 @@ func (s *Service) Load(path string) (SnapshotMeta, error) {
 	return store.meta, nil
 }
 
-// Swap loads the snapshot at path next to the serving epoch,
-// re-inferring incrementally on the churn delta, then atomically flips
-// the epoch pointer, drains readers of the old epoch and frees it.
+// Swap loads and infers the snapshot at path next to the serving epoch,
+// compares the two stores into a ChurnReport, then atomically flips the
+// epoch pointer, drains readers of the old epoch and frees it.
 // Queries are answered throughout — from the old epoch until the flip,
 // from the new one after — and none are lost.
 //
@@ -276,13 +261,14 @@ func (s *Service) Swap(ctx context.Context, path string) (*ChurnReport, error) {
 		return nil, errors.New("serve: no snapshot loaded")
 	}
 	begin := s.now()
-	store, rep, err := s.build(path, old.store)
+	store, err := s.build(path)
 	if err != nil {
 		_ = s.now()
 		s.stale.Store(true)
 		s.c.swapFails.Add(1)
 		return nil, err
 	}
+	rep := churnReport(old.store, store)
 	store.meta.Epoch = s.epochSeq.Add(1)
 	rep.FromEpoch = old.store.meta.Epoch
 	rep.ToEpoch = store.meta.Epoch
@@ -294,8 +280,6 @@ func (s *Service) Swap(ctx context.Context, path string) (*ChurnReport, error) {
 	rep.SwapLatencyNS = s.now().Sub(begin).Nanoseconds()
 	s.c.lastSwapNS.Store(rep.SwapLatencyNS)
 	s.c.swaps.Add(1)
-	s.c.reused.Add(uint64(rep.Delta.Reused))
-	s.c.reinferred.Add(uint64(rep.Delta.Reinferred))
 	s.churn.Store(rep)
 	return rep, nil
 }
@@ -320,82 +304,28 @@ func (s *Service) drainEpoch(ctx context.Context, e *epoch) bool {
 	return true
 }
 
-// build streams the snapshot at path into a fresh store. With a prior
-// store it diffs the two snapshot files first and reuses the prior
-// attribution for every domain the delta contract proves unchanged
-// (see core.InferDelta); the result is byte-identical to a full
-// recompute. A prior whose file is no longer readable degrades to a
-// full recompute rather than failing the swap.
-func (s *Service) build(path string, prior *Store) (*Store, *ChurnReport, error) {
-	newSt, err := dataset.OpenStream(path)
+// build streams the snapshot at path through one inference run into a
+// fresh store.
+func (s *Service) build(path string) (*Store, error) {
+	st, err := dataset.OpenStream(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-
-	var (
-		changed map[string]bool
-		changes []dataset.Change
-		dstats  dataset.DiffStats
-	)
-	useDelta := false
-	if prior != nil {
-		if oldSt, oerr := dataset.OpenStream(prior.path); oerr == nil {
-			changed = make(map[string]bool)
-			dstats, oerr = dataset.DiffStream(oldSt, newSt, func(c dataset.Change) error {
-				if c.Kind != dataset.DiffRemoved {
-					changed[c.Domain] = true
-				}
-				changes = append(changes, c)
-				return nil
-			})
-			useDelta = oerr == nil
-		}
-	}
-
-	store := &Store{path: path}
 	acc := analysis.NewShareAccumulator(s.cfg.Directory)
 	domains := make(map[string]core.DomainAttribution)
-	emit := func(att core.DomainAttribution) {
+	res, err := core.InferStream(st, s.approach, s.cfg.Infer, func(att core.DomainAttribution) {
 		domains[att.Domain] = att
 		acc.Add(att)
-	}
-
-	var (
-		res *core.Result
-		ds  core.DeltaStats
-	)
-	if useDelta {
-		res, ds, err = core.InferStreamDelta(newSt, s.approach, s.cfg.Infer, prior.res, prior.lookup, changed, emit)
-	} else {
-		res, err = core.InferStream(newSt, s.approach, s.cfg.Infer, emit)
-		if res != nil {
-			ds = core.DeltaStats{Reinferred: res.NumDomains}
-		}
-	}
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-
-	store.res = res
-	store.domains = domains
-	store.meta = SnapshotMeta{Date: newSt.Date, Corpus: newSt.Corpus, Domains: res.NumDomains}
-	store.shares = shareEntries(acc.TopShares(s.topShares()))
-	store.conc = acc.Concentration()
-
-	if prior == nil {
-		return store, nil, nil
-	}
-	rep := &ChurnReport{
-		FromDate:      prior.meta.Date,
-		ToDate:        store.meta.Date,
-		Diff:          dstats,
-		Delta:         ds,
-		FullRecompute: !useDelta,
-	}
-	if useDelta {
-		rep.Flows = providerFlows(changes, prior, store)
-	}
-	return store, rep, nil
+	return &Store{
+		meta:    SnapshotMeta{Date: st.Date, Corpus: st.Corpus, Domains: res.NumDomains},
+		domains: domains,
+		shares:  shareEntries(acc.TopShares(s.topShares())),
+		conc:    acc.Concentration(),
+	}, nil
 }
 
 func shareEntries(shares []analysis.Share) []ShareEntry {
@@ -406,38 +336,52 @@ func shareEntries(shares []analysis.Share) []ShareEntry {
 	return out
 }
 
-// providerFlows folds the diff's churned domains into
-// provider-to-provider migration counts, deterministically ordered.
-func providerFlows(changes []dataset.Change, prior, next *Store) []ProviderFlow {
+// churnReport compares two stores' attributions: every domain of the
+// prior store is looked up in the next one, then the next store's
+// domains absent from the prior are counted as added. Flows are
+// deterministically ordered.
+func churnReport(prior, next *Store) *ChurnReport {
+	rep := &ChurnReport{
+		FromDate:    prior.meta.Date,
+		ToDate:      next.meta.Date,
+		FromDomains: prior.meta.Domains,
+		ToDomains:   next.meta.Domains,
+	}
 	counts := make(map[[2]string]int)
-	for _, c := range changes {
-		var oldP, newP string
-		if att, ok := prior.domains[c.Domain]; ok {
-			oldP = att.Primary()
+	flow := func(from, to string) {
+		if from != to {
+			counts[[2]string{flowLabel(from), flowLabel(to)}]++
 		}
-		if att, ok := next.domains[c.Domain]; ok {
-			newP = att.Primary()
-		}
-		if oldP == newP {
+	}
+	for name, old := range prior.domains {
+		att, ok := next.domains[name]
+		if !ok {
+			rep.Removed++
+			flow(old.Primary(), "")
 			continue
 		}
-		counts[[2]string{flowLabel(oldP), flowLabel(newP)}]++
-	}
-	keys := make([][2]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+		if from, to := old.Primary(), att.Primary(); from != to {
+			rep.Moved++
+			flow(from, to)
 		}
-		return keys[i][1] < keys[j][1]
-	})
-	flows := make([]ProviderFlow, len(keys))
-	for i, k := range keys {
-		flows[i] = ProviderFlow{From: k[0], To: k[1], Count: counts[k]}
 	}
-	return flows
+	for name, att := range next.domains {
+		if _, ok := prior.domains[name]; !ok {
+			rep.Added++
+			flow("", att.Primary())
+		}
+	}
+	for k, n := range counts {
+		rep.Flows = append(rep.Flows, ProviderFlow{From: k[0], To: k[1], Count: n})
+	}
+	sort.Slice(rep.Flows, func(i, j int) bool {
+		a, b := rep.Flows[i], rep.Flows[j]
+		if a.From != b.From {
+			return a.From < b.From
+		}
+		return a.To < b.To
+	})
+	return rep
 }
 
 func flowLabel(p string) string {
