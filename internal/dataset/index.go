@@ -5,8 +5,7 @@ import "sort"
 // Index is a precomputed, read-only view of a Snapshot that the inference
 // engine's hot path would otherwise re-derive on every call: the sorted
 // IP key list (deterministic iteration), each domain's primary MX set,
-// and the deduplicated primary-exchange inventory with the domains behind
-// each exchange.
+// and the deduplicated primary-exchange inventory.
 //
 // Build it (lazily) with Snapshot.Index. An Index is immutable once
 // built; mutating the snapshot through AddDomain/AddIP/SortDomains
@@ -23,9 +22,6 @@ type Index struct {
 	Exchanges []MXObs
 	// ExchangeIndex maps an exchange name to its position in Exchanges.
 	ExchangeIndex map[string]int
-	// ExchangeDomains maps an exchange position to the positions of the
-	// domains whose primary MX set includes it.
-	ExchangeDomains [][]int
 }
 
 // Index returns the snapshot's derived index, building it on first use.
@@ -57,14 +53,10 @@ func buildIndex(s *Snapshot) *Index {
 		primary := s.Domains[i].PrimaryMX()
 		idx.PrimaryMX[i] = primary
 		for _, mx := range primary {
-			j, ok := idx.ExchangeIndex[mx.Exchange]
-			if !ok {
-				j = len(idx.Exchanges)
-				idx.ExchangeIndex[mx.Exchange] = j
+			if _, ok := idx.ExchangeIndex[mx.Exchange]; !ok {
+				idx.ExchangeIndex[mx.Exchange] = len(idx.Exchanges)
 				idx.Exchanges = append(idx.Exchanges, mx)
-				idx.ExchangeDomains = append(idx.ExchangeDomains, nil)
 			}
-			idx.ExchangeDomains[j] = append(idx.ExchangeDomains[j], i)
 		}
 	}
 	return idx

@@ -69,13 +69,6 @@ func TestIndexExchanges(t *testing.T) {
 			t.Errorf("ExchangeIndex[%q] = %d, want %d", want, idx.ExchangeIndex[want], i)
 		}
 	}
-	// mx.shared.com backs domains 0 and 1; mx.b.com backs only domain 1.
-	if !reflect.DeepEqual(idx.ExchangeDomains[0], []int{0, 1}) {
-		t.Errorf("ExchangeDomains[0] = %v", idx.ExchangeDomains[0])
-	}
-	if !reflect.DeepEqual(idx.ExchangeDomains[1], []int{1}) {
-		t.Errorf("ExchangeDomains[1] = %v", idx.ExchangeDomains[1])
-	}
 }
 
 func TestIndexCachedAndInvalidated(t *testing.T) {

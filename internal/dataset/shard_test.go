@@ -447,7 +447,7 @@ func TestSnapshotConcurrentAddIndex(t *testing.T) {
 				default:
 				}
 				idx := s.Index()
-				if len(idx.PrimaryMX) != len(idx.ExchangeDomains) && len(idx.Exchanges) != len(idx.ExchangeDomains) {
+				if len(idx.Exchanges) != len(idx.ExchangeIndex) {
 					t.Error("index internally inconsistent")
 					return
 				}

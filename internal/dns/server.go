@@ -149,10 +149,6 @@ const (
 	// DefaultTCPQueryBudget bounds queries served on one TCP connection
 	// before the server closes it.
 	DefaultTCPQueryBudget = 512
-	// maxConsecutiveServeErrs is how many back-to-back read/accept
-	// errors a serve loop absorbs with backoff before treating the
-	// socket as dead.
-	maxConsecutiveServeErrs = 16
 )
 
 // ServerConfig parameterizes a Server.
@@ -195,16 +191,8 @@ type Server struct {
 	cfg     ServerConfig
 	cache   respCache
 	limiter *rrlLimiter
-	tcpSem  chan struct{}
+	lc      *overload.Lifecycle
 	stats   serverCounters
-
-	mu       sync.Mutex
-	udpConns []net.PacketConn
-	tcpLns   []net.Listener
-	tcpConns map[net.Conn]struct{}
-	draining bool
-	closed   bool
-	wg       sync.WaitGroup
 }
 
 // NewServer creates a server for the given configuration.
@@ -227,18 +215,15 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.TCPQueryBudget == 0 {
 		cfg.TCPQueryBudget = DefaultTCPQueryBudget
 	}
-	s := &Server{cfg: cfg, tcpConns: make(map[net.Conn]struct{})}
+	s := &Server{cfg: cfg, lc: overload.NewLifecycle(cfg.MaxTCPConns, cfg.ReadTimeout)}
 	if cfg.RRL != nil {
 		s.limiter = newRRLLimiter(*cfg.RRL)
-	}
-	if cfg.MaxTCPConns > 0 {
-		s.tcpSem = make(chan struct{}, cfg.MaxTCPConns)
 	}
 	return s, nil
 }
 
 // Stats returns a snapshot of the server's serving counters.
-func (s *Server) Stats() ServerStats { return s.stats.snapshot() }
+func (s *Server) Stats() ServerStats { return s.stats.snapshot(&s.lc.Counters) }
 
 // ServeUDP answers queries arriving on pc until the server is closed or
 // pc fails hard. It blocks; run it in a goroutine.
@@ -250,17 +235,9 @@ func (s *Server) Stats() ServerStats { return s.stats.snapshot() }
 // read errors (e.g. the ECONNREFUSED a socket reports after ICMP
 // feedback) with jittered backoff; only a closed socket or a persistent
 // failure ends the loop.
-func (s *Server) ServeUDP(pc net.PacketConn) error {
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
-		return net.ErrClosed
-	}
-	s.udpConns = append(s.udpConns, pc)
-	s.wg.Add(1)
-	s.mu.Unlock()
-	defer s.wg.Done()
+func (s *Server) ServeUDP(pc net.PacketConn) error { return s.lc.ServePacket(pc, s.serveUDP) }
 
+func (s *Server) serveUDP(pc net.PacketConn) error {
 	var wg sync.WaitGroup
 	errc := make(chan error, s.cfg.UDPWorkers)
 	for i := 0; i < s.cfg.UDPWorkers; i++ {
@@ -273,16 +250,14 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 			for {
 				n, addr, err := pc.ReadFrom(buf)
 				if err != nil {
-					if s.stopping() {
-						return
-					}
 					consec++
-					if !overload.TransientNetErr(err) || consec > maxConsecutiveServeErrs {
-						errc <- err
+					if done, err := s.lc.LoopErr(err, consec); done {
+						if err != nil {
+							errc <- err
+						}
 						return
 					}
 					s.stats.udpReadRetries.Add(1)
-					overload.Backoff(consec)
 					continue
 				}
 				consec = 0
@@ -314,7 +289,7 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 		}()
 	}
 	wg.Wait()
-	if s.stopping() {
+	if s.lc.Stopping() {
 		return nil
 	}
 	return <-errc
@@ -326,104 +301,14 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 // Accepts beyond MaxTCPConns are shed by closing the connection
 // immediately; transient accept errors are retried with jittered
 // backoff.
-func (s *Server) ServeTCP(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
-		return net.ErrClosed
-	}
-	s.tcpLns = append(s.tcpLns, ln)
-	s.wg.Add(1)
-	s.mu.Unlock()
-	defer s.wg.Done()
-
-	consec := 0
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.stopping() {
-				return nil
-			}
-			consec++
-			if !overload.TransientNetErr(err) || consec > maxConsecutiveServeErrs {
-				return err
-			}
-			s.stats.acceptRetries.Add(1)
-			overload.Backoff(consec)
-			continue
-		}
-		consec = 0
-		if !s.admitTCP() {
-			s.stats.tcpRejected.Add(1)
-			conn.Close()
-			continue
-		}
-		s.stats.tcpAccepted.Add(1)
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer s.releaseTCP()
-			defer conn.Close()
-			s.serveTCPConn(conn)
-		}()
-	}
-}
-
-// admitTCP takes an admission slot, or reports the cap is hit.
-func (s *Server) admitTCP() bool {
-	if s.tcpSem == nil {
-		return true
-	}
-	select {
-	case s.tcpSem <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (s *Server) releaseTCP() {
-	if s.tcpSem != nil {
-		<-s.tcpSem
-	}
-}
-
-// trackConn registers (add) or unregisters a serving TCP connection so
-// Shutdown can wake idle readers. Registration fails once the server is
-// stopping.
-func (s *Server) trackConn(conn net.Conn, add bool) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if add {
-		if s.closed || s.draining {
-			return false
-		}
-		s.tcpConns[conn] = struct{}{}
-		return true
-	}
-	delete(s.tcpConns, conn)
-	return true
-}
-
-// beginTCPRead arms the idle deadline for the next query, refusing once
-// a drain has begun. Holding the server lock orders the deadline against
-// Shutdown's wake-up deadline: either we see draining and stop, or
-// Shutdown sees our registered connection and re-arms its immediate
-// deadline after ours.
-func (s *Server) beginTCPRead(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.draining {
-		return false
-	}
-	return conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout)) == nil
-}
+func (s *Server) ServeTCP(ln net.Listener) error { return s.lc.Serve(ln, s.serveTCPConn) }
 
 func (s *Server) serveTCPConn(conn net.Conn) {
-	if !s.trackConn(conn, true) {
+	c, ok := s.lc.Track(conn)
+	if !ok {
 		return
 	}
-	defer s.trackConn(conn, false)
+	defer s.lc.Untrack(c)
 	st := new(handleState)
 	var lenBuf [2]byte
 	// Per-connection reused buffers: the read buffer grows to the
@@ -435,7 +320,7 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 			s.stats.tcpBudgetCloses.Add(1)
 			return
 		}
-		if !s.beginTCPRead(conn) {
+		if !s.lc.BeginRead(c) {
 			return
 		}
 		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
@@ -577,105 +462,17 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// stopping reports whether the server is draining or closed; serve
-// loops exit cleanly instead of surfacing the wake-up error.
-func (s *Server) stopping() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed || s.draining
-}
-
 // Shutdown gracefully drains the server: it stops reading new UDP
 // queries and accepting new TCP connections, lets every query already
 // received finish — including in-flight TCP queries on open
 // connections — and then closes all sockets. It returns nil when the
 // drain completed, or ctx.Err() after falling back to a hard Close at
 // the context deadline. Close retains hard-stop semantics.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	first := !s.draining
-	s.draining = true
-	pcs := append([]net.PacketConn(nil), s.udpConns...)
-	lns := append([]net.Listener(nil), s.tcpLns...)
-	conns := make([]net.Conn, 0, len(s.tcpConns))
-	for c := range s.tcpConns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-
-	// Wake everything that is blocked waiting for input: UDP workers see
-	// an immediate timeout and exit via stopping(); idle TCP readers see
-	// the same and close their connection. A connection mid-query keeps
-	// its write path untouched, so the in-flight answer still goes out.
-	now := time.Now()
-	for _, pc := range pcs {
-		pc.SetReadDeadline(now)
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.SetReadDeadline(now)
-	}
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		if first {
-			s.stats.drains.Add(1)
-		}
-		s.mu.Lock()
-		s.closed = true
-		pcs := s.udpConns
-		s.mu.Unlock()
-		for _, pc := range pcs {
-			pc.Close()
-		}
-		return nil
-	case <-ctx.Done():
-		if first {
-			s.stats.drainTimeouts.Add(1)
-		}
-		s.Close()
-		return ctx.Err()
-	}
-}
+func (s *Server) Shutdown(ctx context.Context) error { return s.lc.Shutdown(ctx) }
 
 // Close stops all listeners and connections immediately and waits for
 // in-flight handlers. Shutdown is the graceful alternative.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	conns, lns := s.udpConns, s.tcpLns
-	tconns := make([]net.Conn, 0, len(s.tcpConns))
-	for c := range s.tcpConns {
-		tconns = append(tconns, c)
-	}
-	s.mu.Unlock()
-	for _, pc := range conns {
-		pc.Close()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	for _, c := range tconns {
-		c.Close()
-	}
-	s.wg.Wait()
-	return nil
-}
+func (s *Server) Close() error { return s.lc.Close() }
 
 // ListenAndServe binds UDP and TCP on addr (e.g. "127.0.0.1:0") and serves
 // until ctx is cancelled. It reports the bound UDP address on ready. This

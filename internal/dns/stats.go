@@ -1,6 +1,10 @@
 package dns
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"mxmap/internal/overload"
+)
 
 // ServerStats is a point-in-time snapshot of a Server's serving
 // counters. Chaos tests assert these exactly against injected load, and
@@ -148,14 +152,13 @@ func (c *resolverCounters) snapshot() ResolverStats {
 type serverCounters struct {
 	udpQueries, udpResponses, udpDropped, udpWriteErrors, udpReadRetries atomic.Uint64
 	rrlDrops, rrlSlips                                                   atomic.Uint64
-	tcpAccepted, tcpRejected                                             atomic.Uint64
 	tcpQueries, tcpResponses, tcpDropped, tcpWriteErrors                 atomic.Uint64
-	tcpBudgetCloses, acceptRetries                                       atomic.Uint64
-	drains, drainTimeouts                                                atomic.Uint64
+	tcpBudgetCloses                                                      atomic.Uint64
 }
 
-// snapshot captures the counters into a ServerStats.
-func (c *serverCounters) snapshot() ServerStats {
+// snapshot captures the counters, and the TCP lifecycle's, into a
+// ServerStats.
+func (c *serverCounters) snapshot(lc *overload.ConnCounters) ServerStats {
 	return ServerStats{
 		UDPQueries:      c.udpQueries.Load(),
 		UDPResponses:    c.udpResponses.Load(),
@@ -164,15 +167,15 @@ func (c *serverCounters) snapshot() ServerStats {
 		UDPReadRetries:  c.udpReadRetries.Load(),
 		RRLDrops:        c.rrlDrops.Load(),
 		RRLSlips:        c.rrlSlips.Load(),
-		TCPAccepted:     c.tcpAccepted.Load(),
-		TCPRejected:     c.tcpRejected.Load(),
+		TCPAccepted:     lc.Accepted.Load(),
+		TCPRejected:     lc.Rejected.Load(),
 		TCPQueries:      c.tcpQueries.Load(),
 		TCPResponses:    c.tcpResponses.Load(),
 		TCPDropped:      c.tcpDropped.Load(),
 		TCPWriteErrors:  c.tcpWriteErrors.Load(),
 		TCPBudgetCloses: c.tcpBudgetCloses.Load(),
-		AcceptRetries:   c.acceptRetries.Load(),
-		Drains:          c.drains.Load(),
-		DrainTimeouts:   c.drainTimeouts.Load(),
+		AcceptRetries:   lc.AcceptRetries.Load(),
+		Drains:          lc.Drains.Load(),
+		DrainTimeouts:   lc.DrainTimeouts.Load(),
 	}
 }

@@ -1,8 +1,9 @@
-// Package overload holds the small shared vocabulary of the serving
-// fabric's overload protection: classifying which network errors a serve
-// loop should survive, and the jittered backoff it sleeps between
-// retries. Both the DNS and SMTP servers build their admission control
-// and resilient accept/read loops on these.
+// Package overload holds the serving fabric's shared overload
+// protection: classifying which network errors a serve loop should
+// survive, the jittered backoff it sleeps between retries, and the one
+// connection Lifecycle (accept loop, admission cap, read deadlines,
+// graceful drain) that the DNS, SMTP and query servers all run their
+// protocol loops under.
 package overload
 
 import (

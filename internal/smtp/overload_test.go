@@ -7,6 +7,7 @@ package smtp
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"net"
 	"net/netip"
 	"strings"
@@ -98,33 +99,45 @@ func TestServerAdmissionCap(t *testing.T) {
 }
 
 func TestServerCommandBudget(t *testing.T) {
-	n := netsim.New()
-	srv, _ := overloadServer(t, n, "10.8.0.2:25", Config{Hostname: "mx.budget.test", MaxCommands: 2})
-	conn, rd := dialSMTP(t, n, "10.8.0.2:25")
-	if got := readLine(t, rd); !strings.HasPrefix(got, "220") {
-		t.Fatalf("banner = %q", got)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := conn.Write([]byte("NOOP\r\n")); err != nil {
+	// Over-long lines spend the budget too, though they are not
+	// dispatched commands: otherwise each one would re-arm the read
+	// deadline and pin the session forever.
+	for i, tc := range []struct {
+		line, reply  string
+		wantCommands uint64
+	}{
+		{"NOOP\r\n", "250", 2},
+		{strings.Repeat("x", maxLineLen+10) + "\r\n", "500", 0},
+	} {
+		n := netsim.New()
+		addr := fmt.Sprintf("10.8.0.%d:25", 20+i)
+		srv, _ := overloadServer(t, n, addr, Config{Hostname: "mx.budget.test", MaxCommands: 2})
+		conn, rd := dialSMTP(t, n, addr)
+		if got := readLine(t, rd); !strings.HasPrefix(got, "220") {
+			t.Fatalf("banner = %q", got)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := conn.Write([]byte(tc.line)); err != nil {
+				t.Fatal(err)
+			}
+			if got := readLine(t, rd); !strings.HasPrefix(got, tc.reply) {
+				t.Fatalf("line %d reply = %q, want %s", i, got, tc.reply)
+			}
+		}
+		// The third line blows the budget: 421 and the connection closes.
+		if _, err := conn.Write([]byte(tc.line)); err != nil {
 			t.Fatal(err)
 		}
-		if got := readLine(t, rd); !strings.HasPrefix(got, "250") {
-			t.Fatalf("NOOP %d reply = %q, want 250", i, got)
+		if got := readLine(t, rd); !strings.HasPrefix(got, "421") {
+			t.Fatalf("over-budget reply = %q, want 421", got)
 		}
-	}
-	// The third command blows the budget: 421 and the connection closes.
-	if _, err := conn.Write([]byte("NOOP\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	if got := readLine(t, rd); !strings.HasPrefix(got, "421") {
-		t.Fatalf("over-budget reply = %q, want 421", got)
-	}
-	if _, err := rd.ReadString('\n'); err == nil {
-		t.Fatal("connection survived budget exhaustion")
-	}
-	st := srv.Stats()
-	if st.BudgetCloses != 1 || st.Commands != 2 {
-		t.Errorf("stats = %+v, want BudgetCloses=1 Commands=2", st)
+		if _, err := rd.ReadString('\n'); err == nil {
+			t.Fatal("connection survived budget exhaustion")
+		}
+		st := srv.Stats()
+		if st.BudgetCloses != 1 || st.Commands != tc.wantCommands {
+			t.Errorf("stats = %+v, want BudgetCloses=1 Commands=%d", st, tc.wantCommands)
+		}
 	}
 }
 
@@ -235,27 +248,32 @@ func TestChaosSMTPDrainCompletesBusySession(t *testing.T) {
 	})
 	conn, rd := dialSMTP(t, n, "10.8.0.5:25")
 
-	replies := make(chan string, 8)
-	fail := make(chan error, 1)
+	// Replies and the final read error share one channel so the error
+	// can never overtake a reply still queued ahead of it.
+	type reply struct {
+		line string
+		err  error
+	}
+	replies := make(chan reply, 8)
 	go func() {
 		for {
 			line, err := rd.ReadString('\n')
+			replies <- reply{strings.TrimRight(line, "\r\n"), err}
 			if err != nil {
-				fail <- err
 				return
 			}
-			replies <- strings.TrimRight(line, "\r\n")
 		}
 	}()
 	expect := func(prefix string) {
 		t.Helper()
 		select {
 		case got := <-replies:
-			if !strings.HasPrefix(got, prefix) {
-				t.Fatalf("reply = %q, want %s", got, prefix)
+			if got.err != nil {
+				t.Fatalf("connection died waiting for %s: %v", prefix, got.err)
 			}
-		case err := <-fail:
-			t.Fatalf("connection died waiting for %s: %v", prefix, err)
+			if !strings.HasPrefix(got.line, prefix) {
+				t.Fatalf("reply = %q, want %s", got.line, prefix)
+			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("no reply, want %s", prefix)
 		}

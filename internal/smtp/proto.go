@@ -17,8 +17,7 @@ import (
 
 // Protocol limits, chosen per RFC 5321 §4.5.3 with headroom.
 const (
-	maxLineLen   = 2048
-	maxReplyLine = 2048
+	maxLineLen = 2048
 	// DefaultMaxMessageBytes bounds DATA payloads.
 	DefaultMaxMessageBytes = 10 << 20
 )
@@ -30,6 +29,10 @@ var ErrLineTooLong = errors.New("smtp: line too long")
 // length limit.
 type reader struct {
 	r *bufio.Reader
+	// skipping is set when an over-long line was rejected before its
+	// end was read: the next line call drops the rest of it first, so
+	// the session resyncs at the following line.
+	skipping bool
 }
 
 func newReader(r io.Reader) *reader {
@@ -37,15 +40,35 @@ func newReader(r io.Reader) *reader {
 }
 
 // line reads one CRLF- (or LF-) terminated line without its terminator.
+// A line longer than maxLineLen fails with ErrLineTooLong as soon as the
+// limit is crossed, after at most one more buffer of input, so a peer
+// cannot make the reader buffer without bound.
 func (rd *reader) line() (string, error) {
-	s, err := rd.r.ReadString('\n')
-	if err != nil {
-		return "", err
+	var buf []byte
+	for {
+		frag, err := rd.r.ReadSlice('\n')
+		if rd.skipping {
+			if err == nil {
+				rd.skipping = false
+				continue
+			}
+			if err == bufio.ErrBufferFull {
+				continue
+			}
+			return "", err
+		}
+		buf = append(buf, frag...)
+		if len(buf) > maxLineLen {
+			rd.skipping = err == bufio.ErrBufferFull
+			return "", ErrLineTooLong
+		}
+		if err == nil {
+			return strings.TrimRight(string(buf), "\r\n"), nil
+		}
+		if err != bufio.ErrBufferFull {
+			return "", err
+		}
 	}
-	if len(s) > maxLineLen {
-		return "", ErrLineTooLong
-	}
-	return strings.TrimRight(s, "\r\n"), nil
 }
 
 // command splits a protocol line into an upper-cased verb and its

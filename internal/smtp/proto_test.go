@@ -130,10 +130,32 @@ func TestCommandParsing(t *testing.T) {
 	}
 }
 
+// countingReader counts the bytes its reader hands out.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestReaderLineTooLong rejects over-long lines after reading a bounded
+// amount of them, and resyncs at the line that follows.
 func TestReaderLineTooLong(t *testing.T) {
-	long := strings.Repeat("a", maxLineLen+10) + "\r\n"
-	rd := newReader(strings.NewReader(long))
-	if _, err := rd.line(); err != ErrLineTooLong {
-		t.Errorf("err = %v, want ErrLineTooLong", err)
+	for _, size := range []int{maxLineLen + 10, 1 << 20} {
+		src := &countingReader{r: strings.NewReader(strings.Repeat("a", size) + "\r\nNOOP\r\n")}
+		rd := newReader(src)
+		if _, err := rd.line(); err != ErrLineTooLong {
+			t.Errorf("%d-byte line: err = %v, want ErrLineTooLong", size, err)
+		}
+		if src.n > maxLineLen+4096 {
+			t.Errorf("%d-byte line: rejecting it consumed %d bytes, want <= %d", size, src.n, maxLineLen+4096)
+		}
+		if line, err := rd.line(); line != "NOOP" || err != nil {
+			t.Errorf("%d-byte line: next line = %q, %v; want NOOP", size, line, err)
+		}
 	}
 }

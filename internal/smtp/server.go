@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"net"
 	"strings"
-	"sync"
 	"time"
 
 	"mxmap/internal/overload"
@@ -22,10 +21,6 @@ const (
 	// DefaultMaxCommands bounds commands per session before the server
 	// closes it with a 421.
 	DefaultMaxCommands = 1000
-	// maxConsecutiveAcceptErrs is how many back-to-back accept errors
-	// the serve loop absorbs with backoff before treating the listener
-	// as dead.
-	maxConsecutiveAcceptErrs = 16
 )
 
 // An Envelope is one received message: its envelope addresses and body.
@@ -82,15 +77,8 @@ type Config struct {
 // A Server accepts SMTP sessions on one or more listeners.
 type Server struct {
 	cfg   Config
-	sem   chan struct{}
+	lc    *overload.Lifecycle
 	stats serverCounters
-
-	mu       sync.Mutex
-	lns      []net.Listener
-	sessions map[*session]struct{}
-	draining bool
-	closed   bool
-	wg       sync.WaitGroup
 }
 
 // NewServer validates cfg and creates a server.
@@ -116,15 +104,15 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.MaxCommands == 0 {
 		cfg.MaxCommands = DefaultMaxCommands
 	}
-	s := &Server{cfg: cfg, sessions: make(map[*session]struct{})}
-	if cfg.MaxConns > 0 {
-		s.sem = make(chan struct{}, cfg.MaxConns)
+	s := &Server{cfg: cfg, lc: overload.NewLifecycle(cfg.MaxConns, cfg.ReadTimeout)}
+	s.lc.Reject = func(conn net.Conn) {
+		writeReply(conn, 421, cfg.EHLOName+" Too many connections, try again later")
 	}
 	return s, nil
 }
 
 // Stats returns a snapshot of the server's serving counters.
-func (s *Server) Stats() ServerStats { return s.stats.snapshot() }
+func (s *Server) Stats() ServerStats { return s.stats.snapshot(&s.lc.Counters) }
 
 // Serve accepts connections on ln until the server is closed. It blocks;
 // run it in a goroutine.
@@ -132,74 +120,7 @@ func (s *Server) Stats() ServerStats { return s.stats.snapshot() }
 // Transient accept errors are retried with jittered backoff instead of
 // killing the loop, and connections beyond MaxConns are shed with a 421
 // so a connection storm cannot spawn unbounded session goroutines.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
-		return net.ErrClosed
-	}
-	s.lns = append(s.lns, ln)
-	s.wg.Add(1)
-	s.mu.Unlock()
-	defer s.wg.Done()
-	consec := 0
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.stopping() {
-				return nil
-			}
-			consec++
-			if !overload.TransientNetErr(err) || consec > maxConsecutiveAcceptErrs {
-				return err
-			}
-			s.stats.acceptRetries.Add(1)
-			overload.Backoff(consec)
-			continue
-		}
-		consec = 0
-		if !s.admit() {
-			s.stats.rejected.Add(1)
-			conn.SetWriteDeadline(time.Now().Add(time.Second))
-			writeReply(conn, 421, s.cfg.EHLOName+" Too many connections, try again later")
-			conn.Close()
-			continue
-		}
-		s.stats.accepted.Add(1)
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer s.release()
-			s.serveConn(conn)
-		}()
-	}
-}
-
-// admit takes an admission slot, or reports the cap is hit.
-func (s *Server) admit() bool {
-	if s.sem == nil {
-		return true
-	}
-	select {
-	case s.sem <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (s *Server) release() {
-	if s.sem != nil {
-		<-s.sem
-	}
-}
-
-// stopping reports whether the server is draining or closed.
-func (s *Server) stopping() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed || s.draining
-}
+func (s *Server) Serve(ln net.Listener) error { return s.lc.Serve(ln, s.serveConn) }
 
 // Shutdown gracefully drains the server: it stops accepting, lets each
 // session finish the command it is executing (a session mid-DATA
@@ -207,87 +128,18 @@ func (s *Server) stopping() bool {
 // It returns nil when the drain completed, or ctx.Err() after falling
 // back to a hard Close at the context deadline. Close retains hard-stop
 // semantics.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	first := !s.draining
-	s.draining = true
-	lns := append([]net.Listener(nil), s.lns...)
-	// Wake sessions blocked waiting for the next command; sessions busy
-	// executing a command are left to finish it and notice the drain at
-	// the loop top.
-	now := time.Now()
-	for sess := range s.sessions {
-		if !sess.busy {
-			sess.conn.SetReadDeadline(now)
-		}
-	}
-	s.mu.Unlock()
-	for _, ln := range lns {
-		ln.Close()
-	}
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		if first {
-			s.stats.drains.Add(1)
-		}
-		s.mu.Lock()
-		s.closed = true
-		s.mu.Unlock()
-		return nil
-	case <-ctx.Done():
-		if first {
-			s.stats.drainTimeouts.Add(1)
-		}
-		s.Close()
-		return ctx.Err()
-	}
-}
+func (s *Server) Shutdown(ctx context.Context) error { return s.lc.Shutdown(ctx) }
 
 // Close stops all listeners and sessions immediately and waits for
 // session goroutines to exit. Shutdown is the graceful alternative.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	lns := s.lns
-	conns := make([]net.Conn, 0, len(s.sessions))
-	for sess := range s.sessions {
-		conns = append(conns, sess.conn)
-	}
-	s.mu.Unlock()
-	for _, ln := range lns {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
-	return nil
-}
+func (s *Server) Close() error { return s.lc.Close() }
 
 // session holds per-connection state.
 type session struct {
-	srv  *Server
-	conn net.Conn
-	rd   *reader
-
-	// busy is true while the session executes a command. Guarded by
-	// srv.mu: Shutdown reads it to tell idle sessions (safe to wake with
-	// an immediate read deadline) from ones mid-command.
-	busy bool
+	srv     *Server
+	tracked *overload.Conn
+	conn    net.Conn
+	rd      *reader
 
 	helloSeen     bool
 	tlsActive     bool
@@ -298,46 +150,50 @@ type session struct {
 }
 
 func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
 	sess := &session{srv: s, conn: conn, rd: newReader(conn)}
-	if !s.trackSession(sess) {
+	c, ok := s.lc.Track(conn)
+	if !ok {
 		// Raced with shutdown between accept and registration.
 		sess.goodbye()
 		return
 	}
-	defer s.untrackSession(sess)
+	defer s.lc.Untrack(c)
+	sess.tracked = c
 	if err := sess.reply(220, s.cfg.Banner); err != nil {
 		return
 	}
 	commands := 0
 	for {
-		if !s.beginRead(sess) {
+		if !s.lc.BeginRead(c) {
 			sess.goodbye()
 			return
 		}
 		line, err := sess.rd.line()
-		if err != nil {
-			if errors.Is(err, ErrLineTooLong) {
-				sess.reply(500, "Line too long")
-				continue
-			}
-			if s.stopping() {
+		tooLong := errors.Is(err, ErrLineTooLong)
+		if err != nil && !tooLong {
+			if s.lc.Stopping() {
 				// Woken by Shutdown's immediate read deadline.
 				sess.goodbye()
 			}
 			return
 		}
+		// An over-long line spends the budget like a command, or a
+		// client could pin the session with them forever.
 		commands++
 		if s.cfg.MaxCommands > 0 && commands > s.cfg.MaxCommands {
 			s.stats.budgetCloses.Add(1)
 			sess.goodbye()
 			return
 		}
+		if tooLong {
+			sess.reply(500, "Line too long")
+			continue
+		}
 		s.stats.commands.Add(1)
 		verb, arg := command(line)
-		s.setBusy(sess, true)
+		s.lc.SetBusy(c, true)
 		done, err := sess.dispatch(verb, arg)
-		s.setBusy(sess, false)
+		s.lc.SetBusy(c, false)
 		if err != nil {
 			s.logf("session error: %v", err)
 			return
@@ -346,42 +202,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// trackSession registers a session for drain/close bookkeeping; it
-// refuses when the server is already stopping.
-func (s *Server) trackSession(sess *session) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.draining {
-		return false
-	}
-	s.sessions[sess] = struct{}{}
-	return true
-}
-
-func (s *Server) untrackSession(sess *session) {
-	s.mu.Lock()
-	delete(s.sessions, sess)
-	s.mu.Unlock()
-}
-
-func (s *Server) setBusy(sess *session, v bool) {
-	s.mu.Lock()
-	sess.busy = v
-	s.mu.Unlock()
-}
-
-// beginRead arms the per-command read deadline. It runs under the server
-// mutex so it cannot race Shutdown's wake-up: a drain that has started
-// wins, and a session cannot park itself in a fresh 60s read afterward.
-func (s *Server) beginRead(sess *session) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.draining {
-		return false
-	}
-	return sess.conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout)) == nil
 }
 
 // goodbye tells the client the server is closing the transmission
@@ -462,7 +282,9 @@ func (sess *session) startTLS() error {
 		return fmt.Errorf("smtp: TLS handshake: %w", err)
 	}
 	tlsConn.SetDeadline(time.Time{})
-	sess.setConn(tlsConn)
+	sess.srv.lc.Swap(sess.tracked, tlsConn)
+	sess.conn = tlsConn
+	sess.rd = newReader(tlsConn)
 	sess.tlsActive = true
 	// RFC 3207 §4.2: the server must discard client state from before
 	// the handshake.
@@ -471,15 +293,6 @@ func (sess *session) startTLS() error {
 	sess.username = ""
 	sess.resetTransaction()
 	return nil
-}
-
-// setConn swaps the session's connection (STARTTLS) under the server
-// mutex so a concurrent Shutdown or Close always sees the live conn.
-func (sess *session) setConn(conn net.Conn) {
-	sess.srv.mu.Lock()
-	sess.conn = conn
-	sess.rd = newReader(conn)
-	sess.srv.mu.Unlock()
 }
 
 func (sess *session) mail(arg string) error {

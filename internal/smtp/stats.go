@@ -1,6 +1,10 @@
 package smtp
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"mxmap/internal/overload"
+)
 
 // ServerStats is a point-in-time snapshot of a Server's serving
 // counters, the observable surface chaos tests assert against.
@@ -35,22 +39,20 @@ func (st *ServerStats) Merge(o ServerStats) {
 	st.DrainTimeouts += o.DrainTimeouts
 }
 
-// serverCounters is the live atomic counterpart of ServerStats.
+// serverCounters is the live atomic counterpart of the protocol half of
+// ServerStats; the connection half lives in the server's lifecycle.
 type serverCounters struct {
-	accepted, rejected     atomic.Uint64
 	commands, budgetCloses atomic.Uint64
-	acceptRetries          atomic.Uint64
-	drains, drainTimeouts  atomic.Uint64
 }
 
-func (c *serverCounters) snapshot() ServerStats {
+func (c *serverCounters) snapshot(lc *overload.ConnCounters) ServerStats {
 	return ServerStats{
-		Accepted:      c.accepted.Load(),
-		Rejected:      c.rejected.Load(),
+		Accepted:      lc.Accepted.Load(),
+		Rejected:      lc.Rejected.Load(),
 		Commands:      c.commands.Load(),
 		BudgetCloses:  c.budgetCloses.Load(),
-		AcceptRetries: c.acceptRetries.Load(),
-		Drains:        c.drains.Load(),
-		DrainTimeouts: c.drainTimeouts.Load(),
+		AcceptRetries: lc.AcceptRetries.Load(),
+		Drains:        lc.Drains.Load(),
+		DrainTimeouts: lc.DrainTimeouts.Load(),
 	}
 }
